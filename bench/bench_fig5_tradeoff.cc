@@ -7,6 +7,7 @@
 // Absolute numbers are machine-specific; the reproduction targets the
 // *shape*: who wins where, and the crossovers.
 #include <cstdio>
+#include <numeric>
 
 #include "bench_common.h"
 #include "util/string_util.h"
@@ -75,9 +76,11 @@ double VariationalInference(const FactorGraph& original,
                             const VariationalMaterialization& vmat,
                             const GraphDelta& delta) {
   Timer timer;
-  FactorGraph inf = incremental::BuildVariationalInferenceGraph(
-      original, vmat.approx_graph(), delta);
-  inference::GibbsSampler sampler(&inf);
+  std::vector<VarId> all(original.NumVariables());
+  std::iota(all.begin(), all.end(), VarId{0});
+  const incremental::VariationalSubgraph sub = incremental::BuildVariationalSubgraph(
+      original, vmat.approx_graph(), delta, all);
+  inference::CompiledGibbsSampler sampler(&sub.graph);
   inference::GibbsOptions options;
   options.burn_in_sweeps = 5;
   options.sample_sweeps = kInferenceSamples;

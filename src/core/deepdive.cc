@@ -108,21 +108,24 @@ void DeepDive::PublishView(UpdateReport* report) {
   auto view = std::make_shared<incremental::ResultView>();
   view->marginals = marginals_;
   view->relations.reserve(ground_.relation_vars.size());
-  // analysis:allow(determinism-unordered): each iteration fills exactly one
-  // per-relation bucket of the keyed output map and sorts it by tuple below;
-  // no cross-relation state is touched, so visit order cannot reach the view.
+  // analysis:allow(determinism-unordered): each iteration extends exactly
+  // one relation's own index by that relation's new variables (in creation
+  // order) and files it under its key; no cross-relation state is touched,
+  // so visit order cannot reach the view.
   for (const auto& [relation, vars] : ground_.relation_vars) {
-    auto& entries = view->relations[relation];
-    entries.reserve(vars.size());
-    for (const VarId var : vars) {
-      entries.emplace_back(ground_.var_tuples[var].second,
-                           var < marginals_.size() ? marginals_[var] : 0.5);
+    incremental::RelationIndex& index = relation_indexes_[relation];
+    // Variables are append-only: only the tuples created since the last
+    // publication are new to the index, which every earlier view shares.
+    DD_CHECK_LE(index.size(), vars.size());
+    if (index.size() < vars.size()) {
+      std::vector<std::pair<Tuple, VarId>> added;
+      added.reserve(vars.size() - index.size());
+      for (size_t i = index.size(); i < vars.size(); ++i) {
+        added.emplace_back(ground_.var_tuples[vars[i]].second, vars[i]);
+      }
+      index = index.Extend(std::move(added));
     }
-    // Sorted by tuple, both for deterministic enumeration (pipelines with
-    // different variable-creation histories must compare positionally) and
-    // for MarginalOf's binary search.
-    std::sort(entries.begin(), entries.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
+    view->relations.emplace(relation, index);
   }
   for (const dsl::RelationDecl& rel : program_.relations()) {
     if (rel.kind == dsl::RelationKind::kQuery) {
@@ -271,6 +274,8 @@ StatusOr<UpdateReport> DeepDive::ApplyUpdate(const UpdateSpec& update) {
                           : outcome.strategy;
     report.acceptance_rate = outcome.acceptance_rate;
     report.affected_vars = outcome.affected_vars;
+    report.inference_graph_vars = outcome.inference_graph_vars;
+    report.inference_graph_groups = outcome.inference_graph_groups;
   }
 
   report.graph_variables = ground_.graph.NumVariables();
@@ -360,6 +365,8 @@ StatusOr<UpdateReport> DeepDive::AddRule(const std::string& rule_source,
                         : outcome.strategy;
   report.acceptance_rate = outcome.acceptance_rate;
   report.affected_vars = outcome.affected_vars;
+  report.inference_graph_vars = outcome.inference_graph_vars;
+  report.inference_graph_groups = outcome.inference_graph_groups;
   ++program_version_;
 
   ticket.engine_seq_after = inc_engine_->update_seq();
@@ -424,6 +431,8 @@ StatusOr<UpdateReport> DeepDive::RetractRule(const std::string& label) {
                         : outcome.strategy;
   report.acceptance_rate = outcome.acceptance_rate;
   report.affected_vars = outcome.affected_vars;
+  report.inference_graph_vars = outcome.inference_graph_vars;
+  report.inference_graph_groups = outcome.inference_graph_groups;
   ++program_version_;
   if (ticket != rule_journal_.end()) rule_journal_.erase(ticket);
 
@@ -436,8 +445,10 @@ StatusOr<UpdateReport> DeepDive::RetractRule(const std::string& label) {
 
 Status DeepDive::RunFullPipeline(UpdateReport* report, bool cold_learning) {
   // Re-ground from scratch: fresh graph, fresh grounder (Rerun baseline).
+  // Variable ids start over, so the publication indexes do too.
   Timer ground_timer;
   ground_ = grounding::GroundGraph{};
+  relation_indexes_.clear();
   grounder_ = std::make_unique<grounding::IncrementalGrounder>(&program_, &db_, &ground_,
                                                                config_.grounding);
   DD_RETURN_IF_ERROR(grounder_->Initialize());

@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/config.h"
@@ -253,6 +254,12 @@ class DeepDive {
   /// Recent AddRule tickets, newest last (bounded; see kMaxRuleJournal).
   std::vector<RuleTicket> rule_journal_ GUARDED_BY(serving_thread);
   RelationDeltaListener delta_listener_ GUARDED_BY(serving_thread);
+
+  /// Per-query-relation tuple -> variable indexes, extended at each
+  /// publication by the variables created since and shared with every view
+  /// published from them.
+  std::unordered_map<std::string, incremental::RelationIndex> relation_indexes_
+      GUARDED_BY(serving_thread);
 
   /// RCU publication slot for Query(), plus the serving thread's own pin of
   /// the latest published view (what the legacy accessors read).

@@ -198,10 +198,13 @@ void CompiledRuleBody::Recurse(size_t atom_idx, std::vector<Value>* values,
     try_tuple(tuple, 1);
   };
 
+  std::vector<RowId> semijoin_rows;
   if (probe_col >= 0) {
     for (RowId id : atom.table->Lookup(probe_col, probe_value)) {
       visit_current_or_old(atom.table->row(id));
     }
+  } else if (atom_idx == 0 && DeltaSemiJoinRows(atom, modes, atom_deltas, &semijoin_rows)) {
+    for (RowId id : semijoin_rows) visit_current_or_old(atom.table->row(id));
   } else {
     atom.table->Scan([&](RowId, const Tuple& tuple) { visit_current_or_old(tuple); });
   }
@@ -214,6 +217,34 @@ void CompiledRuleBody::Recurse(size_t atom_idx, std::vector<Value>* values,
       try_tuple(tuple, 1);
     });
   }
+}
+
+bool CompiledRuleBody::DeltaSemiJoinRows(const AtomPlan& atom,
+                                         const std::vector<AtomMode>& modes,
+                                         const std::vector<const DeltaTable*>& atom_deltas,
+                                         std::vector<RowId>* rows) const {
+  for (size_t j = 0; j < atoms_.size(); ++j) {
+    if (modes[j] != AtomMode::kDelta || &atoms_[j] == &atom) continue;
+    const AtomPlan& delta_atom = atoms_[j];
+    for (size_t col = 0; col < atom.terms.size(); ++col) {
+      if (!atom.terms[col].is_var) continue;
+      for (size_t dcol = 0; dcol < delta_atom.terms.size(); ++dcol) {
+        const TermPlan& dt = delta_atom.terms[dcol];
+        if (!dt.is_var || dt.slot != atom.terms[col].slot) continue;
+        // Every derivation binds this column to the shared variable's value
+        // in some delta tuple, so only rows holding one of those values can
+        // contribute. Sorted RowIds visit them in the scan's order.
+        atom_deltas[j]->ForEach([&](const Tuple& tuple, int64_t) {
+          if (dcol >= tuple.size()) return;
+          for (RowId id : atom.table->Lookup(col, tuple[dcol])) rows->push_back(id);
+        });
+        std::sort(rows->begin(), rows->end());
+        rows->erase(std::unique(rows->begin(), rows->end()), rows->end());
+        return true;
+      }
+    }
+  }
+  return false;
 }
 
 void CompiledRuleBody::EvaluateFull(const BindingCallback& fn) const {

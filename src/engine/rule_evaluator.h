@@ -172,6 +172,17 @@ class CompiledRuleBody {
 
   bool ConditionsHold(const std::vector<Value>& values) const;
 
+  /// For an atom with nothing bound that shares a variable with the term's
+  /// DELTA atom: the ascending ids of the rows whose shared column holds a
+  /// value some delta tuple binds. Derivations can only come from those
+  /// rows, and visiting them in RowId order enumerates exactly what a full
+  /// scan would, in the same order — a semi-join instead of a scan. False
+  /// when no such variable exists. Builds column indexes lazily, so only
+  /// sequential evaluation (the first atom's Recurse) may call it.
+  bool DeltaSemiJoinRows(const AtomPlan& atom, const std::vector<AtomMode>& modes,
+                         const std::vector<const DeltaTable*>& atom_deltas,
+                         std::vector<RowId>* rows) const;
+
   bool TupleInOld(const AtomPlan& atom, const DeltaTable* delta,
                   const Tuple& tuple) const;
 

@@ -1,5 +1,6 @@
 #include "factor/compiled_graph.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -113,6 +114,22 @@ Status CheckOffsets(const uint64_t* offsets, uint64_t n, uint64_t expected_total
                                    " offsets disagree with the section count");
   }
   return Status::OK();
+}
+
+/// Lays out the sections for `h`'s counts (filling in offsets and the total
+/// size) and returns the zeroed image buffer.
+std::vector<uint8_t> LayoutImage(CompiledGraphHeader* h) {
+  SectionSpec specs[kNumCompiledSections];
+  SectionSpecs(*h, specs);
+  size_t cursor = sizeof(CompiledGraphHeader);
+  for (size_t s = 0; s < kNumCompiledSections; ++s) {
+    cursor = AlignUp(cursor, kSectionAlign);
+    h->sections[s].offset = cursor;
+    h->sections[s].bytes = specs[s].bytes();
+    cursor += static_cast<size_t>(specs[s].bytes());
+  }
+  h->total_bytes = AlignUp(cursor, kSectionAlign);
+  return std::vector<uint8_t>(static_cast<size_t>(h->total_bytes), 0);
 }
 
 }  // namespace
@@ -314,18 +331,7 @@ CompiledGraph CompiledGraph::Compile(const FactorGraph& graph) {
     }
   }
 
-  SectionSpec specs[kNumCompiledSections];
-  SectionSpecs(h, specs);
-  size_t cursor = sizeof(CompiledGraphHeader);
-  for (size_t s = 0; s < kNumCompiledSections; ++s) {
-    cursor = AlignUp(cursor, kSectionAlign);
-    h.sections[s].offset = cursor;
-    h.sections[s].bytes = specs[s].bytes();
-    cursor += static_cast<size_t>(specs[s].bytes());
-  }
-  h.total_bytes = AlignUp(cursor, kSectionAlign);
-
-  std::vector<uint8_t> image(static_cast<size_t>(h.total_bytes), 0);
+  std::vector<uint8_t> image = LayoutImage(&h);
   auto sec = [&](CompiledSection s) { return image.data() + h.sections[s].offset; };
 
   auto* evidence = reinterpret_cast<int8_t*>(sec(kSecEvidence));
@@ -410,6 +416,11 @@ CompiledGraph CompiledGraph::Compile(const FactorGraph& graph) {
   head_off[num_vars] = head_cursor;
   body_off[num_vars] = body_cursor;
 
+  return SealImage(std::move(image), h);
+}
+
+CompiledGraph CompiledGraph::SealImage(std::vector<uint8_t> image,
+                                       const CompiledGraphHeader& h) {
   std::memcpy(image.data(), &h, sizeof(h));
   auto* header = reinterpret_cast<CompiledGraphHeader*>(image.data());
   header->checksum = Fnv1aHash(image.data() + sizeof(CompiledGraphHeader),
@@ -420,6 +431,130 @@ CompiledGraph CompiledGraph::Compile(const FactorGraph& graph) {
   auto compiled = FromImage(std::move(image), /*validate=*/false);
   DD_CHECK(compiled.ok()) << compiled.status().ToString();
   return std::move(compiled).value();
+}
+
+// ---- CompiledGraphBuilder ---------------------------------------------------
+
+VarId CompiledGraphBuilder::AddVariable(std::optional<bool> evidence) {
+  evidence_.push_back(!evidence.has_value() ? 0 : (*evidence ? 1 : -1));
+  return static_cast<VarId>(evidence_.size() - 1);
+}
+
+WeightId CompiledGraphBuilder::AddWeight(double value, bool learnable) {
+  weight_values_.push_back(value);
+  weight_learnable_.push_back(learnable ? 1 : 0);
+  return static_cast<WeightId>(weight_values_.size() - 1);
+}
+
+GroupId CompiledGraphBuilder::AddGroup(uint32_t rule_id, VarId head, WeightId weight,
+                                       Semantics semantics) {
+  DD_CHECK_LT(head, evidence_.size());
+  DD_CHECK_LT(weight, weight_values_.size());
+  groups_.push_back(CompiledGroup{head, weight, rule_id, semantics});
+  return static_cast<GroupId>(groups_.size() - 1);
+}
+
+ClauseId CompiledGraphBuilder::AddClause(GroupId group,
+                                         const std::vector<Literal>& literals) {
+  DD_CHECK_LT(group, groups_.size());
+  for (const Literal& lit : literals) {
+    DD_CHECK_LT(lit.var, evidence_.size());
+    DD_CHECK_NE(lit.var, groups_[group].head) << "clause literal equals group head";
+    literals_.push_back(CompiledLiteral{lit.var, lit.negated ? 1u : 0u});
+  }
+  clause_groups_.push_back(group);
+  clause_lit_offsets_.push_back(literals_.size());
+  return static_cast<ClauseId>(clause_groups_.size() - 1);
+}
+
+namespace {
+
+/// Counting-sort CSR: offsets[k]..offsets[k+1] list, in ascending item
+/// order, the items i < n with key_of(i) == k.
+template <typename KeyOf>
+void BuildCsr(size_t num_keys, size_t n, KeyOf key_of, uint64_t* offsets,
+              uint32_t* items) {
+  std::fill(offsets, offsets + num_keys + 1, uint64_t{0});
+  for (size_t i = 0; i < n; ++i) ++offsets[key_of(i) + 1];
+  for (size_t k = 0; k < num_keys; ++k) offsets[k + 1] += offsets[k];
+  std::vector<uint64_t> cursor(offsets, offsets + num_keys);
+  for (size_t i = 0; i < n; ++i) items[cursor[key_of(i)]++] = static_cast<uint32_t>(i);
+}
+
+}  // namespace
+
+CompiledGraph CompiledGraphBuilder::Build() {
+  const size_t num_vars = evidence_.size();
+  const size_t num_weights = weight_values_.size();
+  const size_t num_groups = groups_.size();
+  const size_t num_clauses = clause_groups_.size();
+  CompiledGraphHeader h;
+  h.num_variables = num_vars;
+  h.num_weights = num_weights;
+  h.num_groups = num_groups;
+  h.num_clauses = num_clauses;
+  h.num_literals = literals_.size();
+  h.num_head_refs = num_groups;
+  h.num_body_refs = literals_.size();
+  h.num_weight_group_refs = num_groups;
+  std::vector<uint8_t> image = LayoutImage(&h);
+  auto sec = [&](CompiledSection s) { return image.data() + h.sections[s].offset; };
+
+  std::memcpy(sec(kSecEvidence), evidence_.data(), num_vars);
+  if (num_weights > 0) {
+    std::memcpy(sec(kSecWeightValues), weight_values_.data(),
+                num_weights * sizeof(double));
+    std::memcpy(sec(kSecWeightLearnable), weight_learnable_.data(), num_weights);
+  }
+  // Descriptions are empty: the desc-offset section stays all zero.
+  BuildCsr(num_weights, num_groups, [&](size_t g) { return groups_[g].weight; },
+           reinterpret_cast<uint64_t*>(sec(kSecWeightGroupOffsets)),
+           reinterpret_cast<GroupId*>(sec(kSecWeightGroups)));
+
+  if (num_groups > 0) {
+    std::memcpy(sec(kSecGroups), groups_.data(), num_groups * sizeof(CompiledGroup));
+  }
+  auto* group_orig = reinterpret_cast<uint32_t*>(sec(kSecGroupOrigIds));
+  for (size_t g = 0; g < num_groups; ++g) group_orig[g] = static_cast<uint32_t>(g);
+  BuildCsr(num_groups, num_clauses, [&](size_t c) { return clause_groups_[c]; },
+           reinterpret_cast<uint64_t*>(sec(kSecGroupClauseOffsets)),
+           reinterpret_cast<ClauseId*>(sec(kSecGroupClauses)));
+
+  if (num_clauses > 0) {
+    std::memcpy(sec(kSecClauseGroups), clause_groups_.data(),
+                num_clauses * sizeof(GroupId));
+  }
+  auto* clause_orig = reinterpret_cast<uint32_t*>(sec(kSecClauseOrigIds));
+  for (size_t c = 0; c < num_clauses; ++c) clause_orig[c] = static_cast<uint32_t>(c);
+  std::memcpy(sec(kSecClauseLitOffsets), clause_lit_offsets_.data(),
+              clause_lit_offsets_.size() * sizeof(uint64_t));
+  if (!literals_.empty()) {
+    std::memcpy(sec(kSecLiterals), literals_.data(),
+                literals_.size() * sizeof(CompiledLiteral));
+  }
+
+  BuildCsr(num_vars, num_groups, [&](size_t g) { return groups_[g].head; },
+           reinterpret_cast<uint64_t*>(sec(kSecHeadOffsets)),
+           reinterpret_cast<GroupId*>(sec(kSecHeadGroups)));
+  // Body refs: one per literal, bucketed by variable in (clause, literal)
+  // order — the order FactorGraph::AddClause appends them in.
+  auto* body_off = reinterpret_cast<uint64_t*>(sec(kSecBodyOffsets));
+  auto* body_refs = reinterpret_cast<CompiledBodyRef*>(sec(kSecBodyRefs));
+  std::vector<ClauseId> literal_clause(literals_.size());
+  for (size_t c = 0; c < num_clauses; ++c) {
+    for (uint64_t i = clause_lit_offsets_[c]; i < clause_lit_offsets_[c + 1]; ++i) {
+      literal_clause[i] = static_cast<ClauseId>(c);
+    }
+  }
+  std::vector<uint32_t> order(literals_.size());
+  BuildCsr(num_vars, literals_.size(), [&](size_t i) { return literals_[i].var; },
+           body_off, order.data());
+  for (size_t i = 0; i < order.size(); ++i) {
+    body_refs[i] = CompiledBodyRef{literal_clause[order[i]], literals_[order[i]].negated};
+  }
+
+  *this = CompiledGraphBuilder();
+  return CompiledGraph::SealImage(std::move(image), h);
 }
 
 uint64_t CompiledGraph::Checksum() const {

@@ -152,6 +152,8 @@ struct CompiledClauseView {
   static constexpr bool active = true;
 };
 
+class CompiledGraphBuilder;
+
 /// A frozen, structure-of-arrays CSR snapshot of a post-grounding factor
 /// graph — the DimmWitted-style contiguous-array layout the Gibbs hot loop
 /// wants, built once per materialization freeze and consumed by the
@@ -269,6 +271,13 @@ class CompiledGraph {
   }
 
  private:
+  friend class CompiledGraphBuilder;
+
+  /// Stamps header `h` (and its checksum) into a fully written image and
+  /// adopts it.
+  static CompiledGraph SealImage(std::vector<uint8_t> image,
+                                 const CompiledGraphHeader& h);
+
   /// Validates the image (shallow always; deep integrity when `validate`)
   /// and caches the typed section pointers + the owned weight-value copy.
   Status Attach(bool validate);
@@ -308,6 +317,42 @@ class CompiledGraph {
   /// Learner-mutable copy of the weight-value section (the image may be a
   /// read-only mapping). Serialized back by SaveCompiledGraph / Checksum().
   std::vector<double> weight_values_;
+};
+
+/// Builds a CompiledGraph image straight from flat, already-compacted parts,
+/// with no mutable FactorGraph in between. Every group and clause added is
+/// active; ids are assigned in call order and are also the images'
+/// "original" ids. Weights carry no descriptions. The adjacency the image
+/// needs (head groups, body refs, weight groups, group clauses) is derived
+/// at Build() in id order — exactly the order a FactorGraph built by the
+/// same calls would hold them in, so inference on the image is bit-identical
+/// to inference on that FactorGraph.
+///
+/// The incremental engine uses this for the variational path's restricted
+/// subgraph: the builder's flat arrays are far smaller than a FactorGraph's
+/// per-variable vectors and clause hash index, so building the image never
+/// holds a second, larger copy of the graph.
+class CompiledGraphBuilder {
+ public:
+  /// Adds a variable with its evidence (nullopt = query); returns its id.
+  VarId AddVariable(std::optional<bool> evidence);
+  WeightId AddWeight(double value, bool learnable);
+  GroupId AddGroup(uint32_t rule_id, VarId head, WeightId weight, Semantics semantics);
+  /// Appends a clause to `group`; `literals` must name existing variables
+  /// other than the group head.
+  ClauseId AddClause(GroupId group, const std::vector<Literal>& literals);
+
+  /// Writes the image; the builder is left empty.
+  CompiledGraph Build();
+
+ private:
+  std::vector<int8_t> evidence_;
+  std::vector<double> weight_values_;
+  std::vector<uint8_t> weight_learnable_;
+  std::vector<CompiledGroup> groups_;
+  std::vector<GroupId> clause_groups_;
+  std::vector<uint64_t> clause_lit_offsets_{0};
+  std::vector<CompiledLiteral> literals_;
 };
 
 /// Streaming FNV-1a (64-bit) over 8-byte words used for image checksums:

@@ -107,6 +107,7 @@ ClauseId FactorGraph::AddClause(GroupId group, std::vector<Literal> literals) {
   clause_index_[ClauseKey(group, clause.literals)].push_back(id);
   clauses_.push_back(std::move(clause));
   groups_[group].clauses.push_back(id);
+  if (groups_[group].active) ++num_active_clauses_;
   return id;
 }
 
@@ -144,11 +145,18 @@ void FactorGraph::ReserveClauses(size_t n) {
 
 void FactorGraph::DeactivateGroup(GroupId group) {
   DD_CHECK_LT(group, groups_.size());
+  if (!groups_[group].active) return;
+  for (ClauseId cid : groups_[group].clauses) {
+    if (clauses_[cid].active) --num_active_clauses_;
+  }
   groups_[group].active = false;
 }
 
 void FactorGraph::DeactivateClause(ClauseId clause) {
   DD_CHECK_LT(clause, clauses_.size());
+  if (clauses_[clause].active && groups_[clauses_[clause].group].active) {
+    --num_active_clauses_;
+  }
   clauses_[clause].active = false;
   // Drop it from the active-clause index (preserving bucket order so
   // FindActiveClause keeps returning the earliest matching clause).
@@ -192,17 +200,6 @@ GroupId FactorGraph::AddSimpleFactor(VarId head, const std::vector<Literal>& bod
   return g;
 }
 
-size_t FactorGraph::NumActiveClauses() const {
-  size_t n = 0;
-  for (const FactorGroup& g : groups_) {
-    if (!g.active) continue;
-    for (ClauseId cid : g.clauses) {
-      if (clauses_[cid].active) ++n;
-    }
-  }
-  return n;
-}
-
 std::vector<VarId> FactorGraph::Neighbors(VarId var) const {
   std::vector<VarId> out;
   auto add_group_vars = [&](GroupId gid) {
@@ -217,7 +214,13 @@ std::vector<VarId> FactorGraph::Neighbors(VarId var) const {
     }
   };
   for (GroupId gid : head_refs_[var]) add_group_vars(gid);
-  for (const BodyRef& ref : body_refs_[var]) add_group_vars(clauses_[ref.clause].group);
+  // A retracted clause no longer links its literals to the group: skipping
+  // it keeps the relation symmetric (the head side only sees active
+  // clauses), so components do not depend on which side a traversal meets
+  // first.
+  for (const BodyRef& ref : body_refs_[var]) {
+    if (clauses_[ref.clause].active) add_group_vars(clauses_[ref.clause].group);
+  }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;

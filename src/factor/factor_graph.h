@@ -143,8 +143,9 @@ class FactorGraph {
   size_t NumGroups() const { return groups_.size(); }
   size_t NumClauses() const { return clauses_.size(); }
 
-  /// Active-clause count: the paper's "# factors" statistic.
-  size_t NumActiveClauses() const;
+  /// Active clauses of active groups: the paper's "# factors" statistic.
+  /// A counter kept by AddClause and the Deactivate calls, so O(1).
+  size_t NumActiveClauses() const { return num_active_clauses_; }
 
   bool IsEvidence(VarId var) const { return evidence_[var].has_value(); }
   std::optional<bool> EvidenceValue(VarId var) const { return evidence_[var]; }
@@ -206,6 +207,7 @@ class FactorGraph {
   std::vector<std::vector<BodyRef>> body_refs_;   // per var
   std::vector<std::vector<GroupId>> weight_groups_;
   std::unordered_map<std::string, WeightId> tied_weights_;
+  size_t num_active_clauses_ = 0;
 
   /// (group, literal-list) hash -> clause ids with that hash, in insertion
   /// order. Backs FindActiveClause in O(1) expected instead of scanning the

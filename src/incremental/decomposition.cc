@@ -114,4 +114,116 @@ std::vector<std::vector<VarId>> ConnectedComponents(const FactorGraph& graph) {
   return out;
 }
 
+void IncrementalComponents::AddVariables(size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    const auto v = static_cast<VarId>(parent_.size());
+    parent_.push_back(v);
+    members_.push_back({v});
+    min_member_.push_back(v);
+    sorted_.push_back(1);
+  }
+}
+
+VarId IncrementalComponents::Find(VarId v) {
+  VarId root = v;
+  while (parent_[root] != root) root = parent_[root];
+  while (parent_[v] != root) {
+    const VarId next = parent_[v];
+    parent_[v] = root;
+    v = next;
+  }
+  return root;
+}
+
+void IncrementalComponents::Union(VarId a, VarId b) {
+  a = Find(a);
+  b = Find(b);
+  if (a == b) return;
+  // Union by size: the smaller member list moves, so a variable moves
+  // O(log V) times in total.
+  if (members_[a].size() < members_[b].size()) std::swap(a, b);
+  parent_[b] = a;
+  members_[a].insert(members_[a].end(), members_[b].begin(), members_[b].end());
+  members_[b] = {};
+  min_member_[a] = std::min(min_member_[a], min_member_[b]);
+  sorted_[a] = 0;
+}
+
+void IncrementalComponents::UnionGroup(const FactorGraph& graph, factor::GroupId g,
+                                       const std::vector<factor::ClauseId>* clauses) {
+  const factor::FactorGroup& group = graph.group(g);
+  if (!group.active) return;
+  for (factor::ClauseId cid : clauses != nullptr ? *clauses : group.clauses) {
+    const factor::Clause& clause = graph.clause(cid);
+    if (!clause.active) continue;
+    for (const factor::Literal& lit : clause.literals) Union(group.head, lit.var);
+  }
+}
+
+void IncrementalComponents::Rebuild(const FactorGraph& graph) {
+  parent_.clear();
+  members_.clear();
+  min_member_.clear();
+  sorted_.clear();
+  AddVariables(graph.NumVariables());
+  for (factor::GroupId g = 0; g < graph.NumGroups(); ++g) UnionGroup(graph, g, nullptr);
+  valid_ = true;
+}
+
+void IncrementalComponents::Apply(const FactorGraph& graph,
+                                  const factor::GraphDelta& delta) {
+  if (!valid_) return;
+  bool removes = !delta.removed_groups.empty();
+  for (const factor::GraphDelta::GroupMod& mod : delta.modified_groups) {
+    removes = removes || !mod.removed.empty();
+  }
+  if (removes) {
+    valid_ = false;
+    return;
+  }
+  if (graph.NumVariables() > parent_.size()) {
+    AddVariables(graph.NumVariables() - parent_.size());
+  }
+  for (factor::GroupId g : delta.new_groups) UnionGroup(graph, g, nullptr);
+  for (const factor::GraphDelta::GroupMod& mod : delta.modified_groups) {
+    UnionGroup(graph, mod.group, &mod.added);
+  }
+}
+
+void IncrementalComponents::Sync(const FactorGraph& graph) {
+  if (!valid_ || parent_.size() != graph.NumVariables()) Rebuild(graph);
+}
+
+const std::vector<VarId>& IncrementalComponents::SortedMembers(VarId r) {
+  if (!sorted_[r]) {
+    std::sort(members_[r].begin(), members_[r].end());
+    sorted_[r] = 1;
+  }
+  return members_[r];
+}
+
+std::vector<const std::vector<VarId>*> IncrementalComponents::ComponentsOf(
+    const std::vector<VarId>& vars) {
+  DD_CHECK(valid_);
+  // Distinct roots via a per-call stamp: O(|vars|), then a sort of the
+  // (usually few) components by smallest member.
+  if (++stamp_ == 0) {
+    std::fill(seen_.begin(), seen_.end(), 0);
+    stamp_ = 1;
+  }
+  seen_.resize(parent_.size(), 0);
+  std::vector<std::pair<VarId, VarId>> roots;  // (smallest member, root)
+  for (VarId v : vars) {
+    const VarId r = Find(v);
+    if (seen_[r] == stamp_) continue;
+    seen_[r] = stamp_;
+    roots.emplace_back(min_member_[r], r);
+  }
+  std::sort(roots.begin(), roots.end());
+  std::vector<const std::vector<VarId>*> out;
+  out.reserve(roots.size());
+  for (const auto& [min_member, r] : roots) out.push_back(&SortedMembers(r));
+  return out;
+}
+
 }  // namespace deepdive::incremental

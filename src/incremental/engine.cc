@@ -6,9 +6,6 @@
 
 #include "incremental/decomposition.h"
 #include "inference/compiled_inference.h"
-#include "inference/parallel_gibbs.h"
-#include "inference/replicated_gibbs.h"
-#include "inference/world.h"
 #include "util/thread_pool.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -277,37 +274,42 @@ void IncrementalEngine::MaybeScheduleRemat(const UpdateOutcome& outcome) {
   }
 }
 
-std::vector<bool> IncrementalEngine::TouchedVars(const GraphDelta& delta) const {
-  std::vector<bool> touched(graph_->NumVariables(), false);
+std::vector<VarId> IncrementalEngine::TouchedVars(const GraphDelta& delta) const {
+  std::vector<VarId> touched;
   auto touch_group = [&](GroupId g) {
     const factor::FactorGroup& group = graph_->group(g);
-    touched[group.head] = true;
+    touched.push_back(group.head);
     for (factor::ClauseId cid : group.clauses) {
       for (const factor::Literal& lit : graph_->clause(cid).literals) {
-        touched[lit.var] = true;
+        touched.push_back(lit.var);
       }
     }
   };
   for (GroupId g : delta.new_groups) touch_group(g);
   for (GroupId g : delta.removed_groups) touch_group(g);
   for (const GraphDelta::GroupMod& mod : delta.modified_groups) touch_group(mod.group);
+  // A cumulative delta repeats a weight once per update that moved it; its
+  // groups need touching once.
+  std::vector<factor::WeightId> weights;
   for (const GraphDelta::WeightChange& wc : delta.weight_changes) {
-    for (GroupId g : graph_->GroupsForWeight(wc.weight)) touch_group(g);
+    weights.push_back(wc.weight);
+  }
+  std::sort(weights.begin(), weights.end());
+  weights.erase(std::unique(weights.begin(), weights.end()), weights.end());
+  for (factor::WeightId w : weights) {
+    for (GroupId g : graph_->GroupsForWeight(w)) touch_group(g);
   }
   for (const GraphDelta::EvidenceChange& ec : delta.evidence_changes) {
-    touched[ec.var] = true;
+    touched.push_back(ec.var);
   }
-  for (VarId v : delta.new_variables) touched[v] = true;
+  touched.insert(touched.end(), delta.new_variables.begin(), delta.new_variables.end());
   return touched;
 }
 
-const std::vector<std::vector<VarId>>& IncrementalEngine::Components() {
-  if (!components_valid_ || components_width_ != graph_->NumVariables()) {
-    components_cache_ = ConnectedComponents(*graph_);
-    components_width_ = graph_->NumVariables();
-    components_valid_ = true;
-  }
-  return components_cache_;
+std::vector<const std::vector<VarId>*> IncrementalEngine::ComponentsOf(
+    const std::vector<VarId>& vars) {
+  components_.Sync(*graph_);
+  return components_.ComponentsOf(vars);
 }
 
 std::vector<VarId> IncrementalEngine::AffectedVars(const GraphDelta& delta,
@@ -318,18 +320,10 @@ std::vector<VarId> IncrementalEngine::AffectedVars(const GraphDelta& delta,
     for (VarId v = 0; v < graph_->NumVariables(); ++v) out[v] = v;
     return out;
   }
-  const std::vector<bool> touched = TouchedVars(delta);
   // Expand to full components: a delta factor shifts the distribution of
   // everything connected to it; disconnected components are untouched.
-  for (const auto& comp : Components()) {
-    bool hit = false;
-    for (VarId v : comp) {
-      if (touched[v]) {
-        hit = true;
-        break;
-      }
-    }
-    if (hit) out.insert(out.end(), comp.begin(), comp.end());
+  for (const std::vector<VarId>* comp : ComponentsOf(TouchedVars(delta))) {
+    out.insert(out.end(), comp->begin(), comp->end());
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -349,7 +343,7 @@ StatusOr<UpdateOutcome> IncrementalEngine::ApplyDelta(const GraphDelta& delta,
   }
   ++update_seq_;
   ++updates_since_snapshot_;
-  if (delta.structure_changed()) components_valid_ = false;
+  components_.Apply(*graph_, delta);
   // The compiled kernel freezes structure, weights and evidence, so any
   // non-empty delta (weight updates from learning included) obsoletes it.
   if (!delta.empty()) compiled_kernel_.reset();
@@ -400,7 +394,7 @@ StatusOr<UpdateOutcome> IncrementalEngine::RetractRule(
   }
   ++update_seq_;
   ++updates_since_snapshot_;
-  if (delta.structure_changed()) components_valid_ = false;
+  components_.Apply(*graph_, delta);
   UpdateOutcome outcome;
   outcome.marginals = *restore_marginals;
   outcome.marginals.resize(graph_->NumVariables(), 0.5);
@@ -497,42 +491,41 @@ StatusOr<UpdateOutcome> IncrementalEngine::RunPerGroup(
     const EngineOptions& options, const std::vector<VarId>& affected) {
   // Classify each affected component by what the cumulative delta does to
   // it: evidence-modified components go variational (rule 2), the rest ride
-  // the sampling chain (rules 1/3) while samples last.
-  std::vector<bool> is_affected(graph_->NumVariables(), false);
-  for (VarId v : affected) is_affected[v] = true;
-  // Per-variable classification signals: evidence modified (rule 2) and
-  // fixed-weight structural changes such as inference rules, whose many
-  // correlated factors collapse MH acceptance (see RuleBasedOptimizer).
-  std::vector<bool> wants_variational(graph_->NumVariables(), false);
+  // the sampling chain (rules 1/3) while samples last. Per-variable signals:
+  // evidence modified (rule 2) and fixed-weight structural changes such as
+  // inference rules, whose many correlated factors collapse MH acceptance
+  // (see RuleBasedOptimizer).
+  std::vector<VarId> wants_variational;
   for (const GraphDelta::EvidenceChange& ec : cumulative_.evidence_changes) {
-    wants_variational[ec.var] = true;
+    wants_variational.push_back(ec.var);
   }
   auto mark_group = [&](GroupId gid) {
     const factor::FactorGroup& group = graph_->group(gid);
     if (graph_->weight(group.weight).learnable) return;  // new feature: sampling
-    wants_variational[group.head] = true;
+    wants_variational.push_back(group.head);
     for (factor::ClauseId cid : group.clauses) {
       for (const factor::Literal& lit : graph_->clause(cid).literals) {
-        wants_variational[lit.var] = true;
+        wants_variational.push_back(lit.var);
       }
     }
   };
   for (GroupId gid : cumulative_.new_groups) mark_group(gid);
   for (GroupId gid : cumulative_.removed_groups) mark_group(gid);
+  // A component wants variational iff one of its members does.
+  std::vector<const std::vector<VarId>*> variational_components =
+      ComponentsOf(wants_variational);
+  std::sort(variational_components.begin(), variational_components.end());
 
   std::vector<VarId> sampling_vars, variational_vars;
-  for (const auto& component : Components()) {
-    bool touched = false, variational = false;
-    for (VarId v : component) {
-      touched |= is_affected[v];
-      variational |= wants_variational[v];
-    }
-    if (!touched) continue;
+  for (const std::vector<VarId>* component : ComponentsOf(affected)) {
+    const bool variational = std::binary_search(variational_components.begin(),
+                                                variational_components.end(),
+                                                component);
     auto& bucket = (variational && snapshot_->variational.has_value() &&
                     options.optimizer.variational_enabled)
                        ? variational_vars
                        : sampling_vars;
-    bucket.insert(bucket.end(), component.begin(), component.end());
+    bucket.insert(bucket.end(), component->begin(), component->end());
   }
   if (!options.optimizer.sampling_enabled) {
     variational_vars.insert(variational_vars.end(), sampling_vars.begin(),
@@ -554,6 +547,8 @@ StatusOr<UpdateOutcome> IncrementalEngine::RunPerGroup(
     if (s.fell_back_to_variational) {
       outcome.sampling_vars = 0;
       outcome.variational_vars += sampling_vars.size();
+      outcome.inference_graph_vars += s.inference_graph_vars;
+      outcome.inference_graph_groups += s.inference_graph_groups;
     }
   }
   if (!variational_vars.empty()) {
@@ -563,6 +558,8 @@ StatusOr<UpdateOutcome> IncrementalEngine::RunPerGroup(
     } else {
       UpdateOutcome v_outcome = RunVariational(options, variational_vars);
       for (VarId v : variational_vars) outcome.marginals[v] = v_outcome.marginals[v];
+      outcome.inference_graph_vars += v_outcome.inference_graph_vars;
+      outcome.inference_graph_groups += v_outcome.inference_graph_groups;
     }
   }
   for (VarId v = 0; v < graph_->NumVariables(); ++v) {
@@ -630,61 +627,21 @@ UpdateOutcome IncrementalEngine::RunVariational(const EngineOptions& options,
                                                 const std::vector<VarId>& affected) {
   UpdateOutcome outcome;
   DD_CHECK(snapshot_->variational.has_value());
-  factor::FactorGraph inference_graph = BuildVariationalInferenceGraph(
-      *graph_, snapshot_->variational->approx_graph(), cumulative_);
-
-  std::vector<VarId> sweep_vars;
-  for (VarId v : affected) {
-    if (!inference_graph.IsEvidence(v)) sweep_vars.push_back(v);
-  }
+  // Only the groups around the affected variables are extracted and
+  // compiled, so the cost follows the delta's components, not the KB.
+  const VariationalSubgraph sub = BuildVariationalSubgraph(
+      *graph_, snapshot_->variational->approx_graph(), cumulative_, affected);
   // Warm start from the current marginal estimates.
-  auto warm_value = [&](VarId v) {
-    const auto ev = inference_graph.EvidenceValue(v);
-    return ev.has_value() ? *ev : (v < marginals_.size() && marginals_[v] > 0.5);
-  };
-  std::vector<double> sums(inference_graph.NumVariables(), 0.0);
-  const size_t sample_sweeps = std::max<size_t>(1, options.gibbs.sample_sweeps);
-  const size_t num_threads = options.gibbs.num_threads == 0
-                                 ? ThreadPool::DefaultThreads()
-                                 : options.gibbs.num_threads;
-  if (num_threads > 1) {
-    // Hogwild over the (sparse) inference graph, confined to the affected
-    // variables: the component decomposition shards across workers.
-    inference::ParallelGibbsSampler sampler(&inference_graph, num_threads);
-    inference::AtomicWorld world(&inference_graph);
-    for (VarId v = 0; v < inference_graph.NumVariables(); ++v) {
-      world.Flip(v, warm_value(v));
-    }
-    std::vector<Rng> rngs = sampler.MakeRngStreams(
-        Rng::MixSeed(options.gibbs.seed, update_seq_, /*substream=*/2));
-    for (size_t i = 0; i < options.gibbs.burn_in_sweeps; ++i) {
-      sampler.SweepVars(&world, &rngs, sweep_vars);
-    }
-    for (size_t i = 0; i < sample_sweeps; ++i) {
-      sampler.SweepVars(&world, &rngs, sweep_vars);
-      for (VarId v : sweep_vars) sums[v] += world.value(v) ? 1.0 : 0.0;
-    }
-  } else {
-    inference::GibbsSampler sampler(&inference_graph);
-    inference::World world(&inference_graph);
-    Rng rng(Rng::MixSeed(options.gibbs.seed, update_seq_, /*substream=*/2));
-    for (VarId v = 0; v < inference_graph.NumVariables(); ++v) {
-      world.Flip(v, warm_value(v));
-    }
-    world.RecomputeStats();
-    for (size_t i = 0; i < options.gibbs.burn_in_sweeps; ++i) {
-      sampler.SweepVars(&world, &rng, sweep_vars);
-    }
-    for (size_t i = 0; i < sample_sweeps; ++i) {
-      sampler.SweepVars(&world, &rng, sweep_vars);
-      for (VarId v : sweep_vars) sums[v] += world.value(v) ? 1.0 : 0.0;
-    }
-  }
+  const std::vector<double> sampled = SampleVariationalSubgraph(
+      sub, marginals_, options.gibbs,
+      Rng::MixSeed(options.gibbs.seed, update_seq_, /*substream=*/2));
 
+  outcome.inference_graph_vars = sub.graph.NumVariables();
+  outcome.inference_graph_groups = sub.graph.NumGroups();
   outcome.marginals = snapshot_->materialized_marginals;
   outcome.marginals.resize(graph_->NumVariables(), 0.5);
-  for (VarId v : sweep_vars) {
-    outcome.marginals[v] = sums[v] / static_cast<double>(sample_sweeps);
+  for (size_t k = 0; k < sub.sweep.size(); ++k) {
+    outcome.marginals[sub.global_ids[sub.sweep[k]]] = sampled[k];
   }
   for (VarId v = 0; v < graph_->NumVariables(); ++v) {
     const auto ev = graph_->EvidenceValue(v);

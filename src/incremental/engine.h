@@ -10,6 +10,7 @@
 #include "factor/compiled_graph.h"
 #include "factor/factor_graph.h"
 #include "factor/graph_delta.h"
+#include "incremental/decomposition.h"
 #include "incremental/mh_sampler.h"
 #include "incremental/optimizer.h"
 #include "incremental/sample_store.h"
@@ -54,6 +55,9 @@ struct UpdateOutcome {
   double seconds = 0.0;
   double acceptance_rate = -1.0;   // sampling path only
   size_t affected_vars = 0;
+  /// Size of the variational path's compiled subgraph (0 = not taken).
+  size_t inference_graph_vars = 0;
+  size_t inference_graph_groups = 0;
   bool fell_back_to_variational = false;
   /// Per-group execution accounting (per_group_strategy mode).
   size_t sampling_vars = 0;
@@ -171,9 +175,9 @@ class IncrementalEngine {
   /// grounder's AddFactorRule path) and hands the resulting GraphDelta here;
   /// retraction hands the delta of the rule's deactivated factor groups.
   /// Both entry points bump the rule-set version, drop the cached compiled
-  /// kernel (lazily recompiled at next use) and the components cache, then
-  /// run the normal incremental update path and publish a new ResultView
-  /// epoch — never a re-ground, and never a blocking wait on a background
+  /// kernel (lazily recompiled at next use) and fold the delta into the
+  /// connected components, then run the normal incremental update path and
+  /// publish a new ResultView epoch — never a re-ground, and never a blocking wait on a background
   /// materialization: a build in flight keeps running, and its result is
   /// discarded at install time because its rule_set_version no longer
   /// matches (see MaterializationSnapshot::rule_set_version).
@@ -226,8 +230,8 @@ class IncrementalEngine {
   }
 
  private:
-  /// Variables directly referenced by a delta.
-  std::vector<bool> TouchedVars(const factor::GraphDelta& delta) const
+  /// Variables directly referenced by a delta (may repeat). O(|delta|).
+  std::vector<factor::VarId> TouchedVars(const factor::GraphDelta& delta) const
       REQUIRES(serving_thread);
 
   /// Expands touched variables to whole connected components (or all
@@ -236,12 +240,12 @@ class IncrementalEngine {
                                           bool decomposition_enabled)
       REQUIRES(serving_thread);
 
-  /// Connected components of the current graph, cached across updates and
-  /// invalidated by structural deltas (new variables/groups/clauses) — one
-  /// computation per ApplyDelta at most, shared by AffectedVars and
-  /// RunPerGroup.
-  const std::vector<std::vector<factor::VarId>>& Components()
-      REQUIRES(serving_thread);
+  /// Member lists (ascending) of the current graph's components that hold
+  /// one of `vars`, ordered by smallest member. Served by the union-find
+  /// kept in step with every delta; a delta that removed groups or clauses
+  /// makes this call rebuild it first.
+  std::vector<const std::vector<factor::VarId>*> ComponentsOf(
+      const std::vector<factor::VarId>& vars) REQUIRES(serving_thread);
 
   /// Strategy selection + execution for one update (everything downstream of
   /// the entry bookkeeping). Factored out so ApplyDelta can evaluate remat
@@ -322,11 +326,8 @@ class IncrementalEngine {
   MaterializationOptions mat_options_ GUARDED_BY(serving_thread);
   bool mat_options_valid_ GUARDED_BY(serving_thread) = false;
 
-  /// Connected-components cache (serving thread only).
-  std::vector<std::vector<factor::VarId>> components_cache_
-      GUARDED_BY(serving_thread);
-  size_t components_width_ GUARDED_BY(serving_thread) = 0;
-  bool components_valid_ GUARDED_BY(serving_thread) = false;
+  /// Connected components of the live graph, folded forward per delta.
+  IncrementalComponents components_ GUARDED_BY(serving_thread);
 
   /// RCU publication slot for Query(), plus the serving thread's own pin of
   /// the latest published view (what the reference-returning accessors read).

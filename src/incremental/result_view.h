@@ -12,6 +12,7 @@
 
 #include "incremental/update_report.h"
 #include "incremental/snapshot.h"
+#include "factor/factor_graph.h"
 #include "storage/value.h"
 #include "util/mutex.h"
 #include "util/status.h"
@@ -19,6 +20,46 @@
 #include "util/thread_role.h"
 
 namespace deepdive::incremental {
+
+/// An immutable, hash-indexed run of (tuple, variable) pairs sorted by
+/// tuple (defined in result_view.cc).
+class KeyRun;
+
+/// Tuple -> variable index of one query relation. A relation's variables
+/// are append-only (a delete leaves its variable in place), so one index
+/// serves every later epoch: a view holds the index (two shared, immutable
+/// runs) plus its own frozen marginal vector, and a writer extends it by
+/// the tuples added since. New tuples go to a small tail run, copied on
+/// each extension; once the tail outgrows 1/kTailFraction of the base run
+/// the two are merged into a new base. Neither run is ever mutated, so a
+/// pinned view keeps its answers while later epochs extend the index.
+class RelationIndex {
+ public:
+  /// Merge threshold: the tail is folded into the base once it holds more
+  /// than 1/kTailFraction as many tuples.
+  static constexpr size_t kTailFraction = 32;
+
+  /// Number of variables (tuples) covered.
+  size_t size() const;
+  bool empty() const { return size() == 0; }
+
+  /// Some indexed (tuple, variable) pair; requires !empty(). The runs are
+  /// immutable, so this is safe from any thread.
+  const std::pair<Tuple, factor::VarId>& front() const;
+
+  /// Variable of `tuple`, or kNoVar.
+  factor::VarId Find(const Tuple& tuple) const;
+
+  /// This index plus `added` (tuples not yet indexed, with their variables).
+  RelationIndex Extend(std::vector<std::pair<Tuple, factor::VarId>> added) const;
+
+  /// Every (tuple, variable) pair, sorted by tuple: a merge of the two runs.
+  std::vector<std::pair<Tuple, factor::VarId>> SortedEntries() const;
+
+ private:
+  std::shared_ptr<const KeyRun> base_;
+  std::shared_ptr<const KeyRun> tail_;
+};
 
 /// An immutable, versioned snapshot of the serving state, published
 /// RCU-style. The writer (the one serving thread) builds a fresh view after
@@ -39,11 +80,11 @@ struct ResultView {
   /// Full marginal vector indexed by VarId, frozen at publication.
   std::vector<double> marginals;
 
-  /// Per-relation tuple -> marginal index, entries sorted by tuple. Filled
-  /// on views published by DeepDive; engine-level views (which have no
-  /// relation knowledge) leave it empty.
-  std::unordered_map<std::string, std::vector<std::pair<Tuple, double>>>
-      relations;
+  /// Per-relation tuple -> variable index, shared with the epochs before
+  /// and after this one (see RelationIndex); a tuple's marginal is
+  /// marginals[var]. Filled on views published by DeepDive; engine-level
+  /// views (which have no relation knowledge) leave it empty.
+  std::unordered_map<std::string, RelationIndex> relations;
 
   /// Names of the program's query relations in declaration order, frozen at
   /// publication. Lets a view-only consumer (the serving stack's export
@@ -90,17 +131,25 @@ struct ResultView {
   uint64_t content_hash = 0;
 
   /// Marginal probability of `tuple` under this view (0.5 if the relation or
-  /// tuple is unknown), by binary search of the relation index.
+  /// tuple is unknown): one hash probe per index run.
   double MarginalOf(const std::string& relation, const Tuple& tuple) const;
 
   /// Sorted (tuple, marginal) entries of one relation, or nullptr if the
-  /// view has no index for it.
+  /// view has no index for it. Built by the first caller (a merge of the
+  /// index runs) and kept with the view; safe from any thread.
   const std::vector<std::pair<Tuple, double>>* Relation(
-      const std::string& relation) const;
+      const std::string& relation) const EXCLUDES(enumeration_mu_);
 
   /// Recomputes the (epoch, marginals) checksum; equals content_hash on any
   /// correctly published view.
   uint64_t Fingerprint() const;
+
+ private:
+  /// Relation() results, built on demand by readers of this view.
+  mutable Mutex enumeration_mu_;
+  mutable std::unordered_map<std::string,
+                             std::unique_ptr<const std::vector<std::pair<Tuple, double>>>>
+      enumerations_ GUARDED_BY(enumeration_mu_);
 };
 
 /// Single-writer / many-reader publication slot for ResultViews. Publish()

@@ -23,6 +23,11 @@ struct UpdateReport {
   Strategy strategy = Strategy::kRerun;
   double acceptance_rate = -1.0;
   size_t affected_vars = 0;
+  /// Variables and groups of the compiled subgraph the variational path
+  /// swept (0 when it did not run). Like affected_vars they follow the
+  /// delta's components, not the size of the KB.
+  size_t inference_graph_vars = 0;
+  size_t inference_graph_groups = 0;
   /// Groundings emitted while applying this update. For a first-class rule
   /// addition this equals the new rule's match count — the witness that the
   /// add evaluated only that rule, not the whole program.

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <unordered_map>
 
 #include "inference/gibbs.h"
 #include "inference/parallel_gibbs.h"
 #include "inference/world.h"
 #include "util/logging.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace deepdive::incremental {
 
@@ -118,80 +120,185 @@ StatusOr<VariationalMaterialization> VariationalMaterialization::Materialize(
   return m;
 }
 
-FactorGraph BuildVariationalInferenceGraph(const FactorGraph& original,
-                                           const FactorGraph& approx,
-                                           const GraphDelta& delta) {
-  FactorGraph out;
-  // Clone the approximation (variables, evidence, weights, groups, clauses),
-  // pre-sizing once so the clone loop never rehashes or reallocates.
-  out.ReserveVariables(original.NumVariables());
-  out.ReserveWeights(approx.NumWeights());
-  out.ReserveGroups(approx.NumGroups() + delta.new_groups.size() +
-                    delta.modified_groups.size());
-  out.ReserveClauses(approx.NumClauses());
-  if (original.NumVariables() > 0) out.AddVariables(original.NumVariables());
-  for (VarId v = 0; v < approx.NumVariables(); ++v) {
-    out.SetEvidence(v, approx.EvidenceValue(v));
+VariationalSubgraph BuildVariationalSubgraph(const FactorGraph& original,
+                                             const FactorGraph& approx,
+                                             const GraphDelta& delta,
+                                             const std::vector<VarId>& affected) {
+  factor::CompiledGraphBuilder builder;
+  VariationalSubgraph sub;
+  // Affected variables take the first local ids, in the order given, so
+  // "is affected" is "local id < affected.size()".
+  std::unordered_map<VarId, VarId> local_of;
+  local_of.reserve(affected.size() * 2);
+  for (VarId v : affected) {
+    if (local_of.emplace(v, static_cast<VarId>(sub.global_ids.size())).second) {
+      sub.global_ids.push_back(v);
+    }
   }
-  std::vector<WeightId> approx_wmap(approx.NumWeights());
-  for (WeightId w = 0; w < approx.NumWeights(); ++w) {
-    approx_wmap[w] = out.AddWeight(approx.weight(w).value, approx.weight(w).learnable,
-                                   approx.weight(w).description);
+  const size_t num_affected = sub.global_ids.size();
+  auto is_affected = [&](VarId v) {
+    const auto it = local_of.find(v);
+    return it != local_of.end() && it->second < num_affected;
+  };
+  auto local = [&](VarId v) {
+    const auto [it, inserted] =
+        local_of.emplace(v, static_cast<VarId>(sub.global_ids.size()));
+    if (inserted) sub.global_ids.push_back(v);
+    return it->second;
+  };
+
+  // Approximation groups touching an affected variable, by ascending id.
+  std::vector<GroupId> approx_groups;
+  for (size_t i = 0; i < num_affected; ++i) {
+    const VarId v = sub.global_ids[i];
+    if (v >= approx.NumVariables()) continue;
+    for (GroupId g : approx.HeadGroups(v)) approx_groups.push_back(g);
+    for (const factor::BodyRef& ref : approx.BodyRefs(v)) {
+      approx_groups.push_back(approx.clause(ref.clause).group);
+    }
   }
-  for (GroupId g = 0; g < approx.NumGroups(); ++g) {
-    const factor::FactorGroup& group = approx.group(g);
-    if (!group.active) continue;
-    const GroupId ng =
-        out.AddGroup(group.rule_id, group.head, approx_wmap[group.weight],
-                     group.semantics);
-    for (factor::ClauseId cid : group.clauses) {
-      const factor::Clause& clause = approx.clause(cid);
-      if (clause.active) out.AddClause(ng, clause.literals);
+  std::sort(approx_groups.begin(), approx_groups.end());
+  approx_groups.erase(std::unique(approx_groups.begin(), approx_groups.end()),
+                      approx_groups.end());
+
+  // Local ids are settled before any group is added: the builder needs every
+  // variable to exist when a group or clause names it.
+  struct PendingGroup {
+    const FactorGraph* source;
+    GroupId group;
+    std::vector<factor::ClauseId> clauses;
+  };
+  std::vector<PendingGroup> pending;
+  auto stage = [&](const FactorGraph& source, GroupId g,
+                   std::vector<factor::ClauseId> clauses) {
+    bool touches = is_affected(source.group(g).head);
+    for (factor::ClauseId cid : clauses) {
+      for (const Literal& lit : source.clause(cid).literals) {
+        touches = touches || is_affected(lit.var);
+      }
+    }
+    if (!touches) return;
+    local(source.group(g).head);
+    for (factor::ClauseId cid : clauses) {
+      for (const Literal& lit : source.clause(cid).literals) local(lit.var);
+    }
+    pending.push_back(PendingGroup{&source, g, std::move(clauses)});
+  };
+  auto active_clauses = [](const FactorGraph& source, GroupId g) {
+    std::vector<factor::ClauseId> out;
+    for (factor::ClauseId cid : source.group(g).clauses) {
+      if (source.clause(cid).active) out.push_back(cid);
+    }
+    return out;
+  };
+  for (GroupId g : approx_groups) {
+    if (approx.group(g).active) stage(approx, g, active_clauses(approx, g));
+  }
+  for (GroupId g : delta.new_groups) {
+    // Added then retracted within the window: not part of Pr(Δ).
+    if (original.group(g).active) stage(original, g, active_clauses(original, g));
+  }
+  for (const GraphDelta::GroupMod& mod : delta.modified_groups) {
+    // Added clauses ride a fresh group of the same head and weight. Removed
+    // clauses were part of the approximated distribution; they cannot be
+    // subtracted from the learned pairwise weights.
+    if (!mod.added.empty() && original.group(mod.group).active) {
+      stage(original, mod.group, mod.added);
     }
   }
 
-  // Append delta factors from the original graph (copying their weights).
-  std::map<WeightId, WeightId> orig_wmap;
-  auto map_weight = [&](WeightId w) {
-    auto it = orig_wmap.find(w);
-    if (it != orig_wmap.end()) return it->second;
-    const WeightId nw = out.AddWeight(original.weight(w).value,
-                                      original.weight(w).learnable,
-                                      original.weight(w).description);
-    orig_wmap.emplace(w, nw);
-    return nw;
-  };
-  auto copy_group = [&](GroupId g, const std::vector<factor::ClauseId>* only_clauses) {
-    const factor::FactorGroup& group = original.group(g);
-    if (!group.active) return;  // added then retracted within the window
-    const GroupId ng =
-        out.AddGroup(group.rule_id, group.head, map_weight(group.weight),
-                     group.semantics);
-    std::vector<std::vector<factor::Literal>> literal_lists;
-    if (only_clauses != nullptr) {
-      literal_lists.reserve(only_clauses->size());
-      for (factor::ClauseId cid : *only_clauses) {
-        literal_lists.push_back(original.clause(cid).literals);
-      }
-    } else {
-      literal_lists.reserve(group.clauses.size());
-      for (factor::ClauseId cid : group.clauses) {
-        const factor::Clause& clause = original.clause(cid);
-        if (clause.active) literal_lists.push_back(clause.literals);
-      }
-    }
-    out.AddClauses(ng, std::move(literal_lists));
-  };
-  for (GroupId g : delta.new_groups) copy_group(g, nullptr);
-  for (const GraphDelta::GroupMod& mod : delta.modified_groups) {
-    if (!mod.added.empty()) copy_group(mod.group, &mod.added);
-    // Removed clauses were part of the approximated distribution; they
-    // cannot be subtracted from the learned pairwise weights.
+  // Evidence: the approximation's (which covers the variables that existed
+  // at materialization), then the delta's changes in order.
+  std::vector<std::optional<bool>> evidence(sub.global_ids.size());
+  for (size_t l = 0; l < sub.global_ids.size(); ++l) {
+    const VarId v = sub.global_ids[l];
+    if (v < approx.NumVariables()) evidence[l] = approx.EvidenceValue(v);
   }
   for (const GraphDelta::EvidenceChange& ec : delta.evidence_changes) {
-    out.SetEvidence(ec.var, ec.new_value);
+    const auto it = local_of.find(ec.var);
+    if (it != local_of.end()) evidence[it->second] = ec.new_value;
   }
-  return out;
+  for (size_t l = 0; l < sub.global_ids.size(); ++l) {
+    builder.AddVariable(evidence[l]);
+    if (l < num_affected && !evidence[l].has_value()) {
+      sub.sweep.push_back(static_cast<VarId>(l));
+    }
+  }
+
+  std::map<WeightId, WeightId> approx_weights, original_weights;
+  std::vector<Literal> literals;
+  for (const PendingGroup& p : pending) {
+    const FactorGraph& source = *p.source;
+    const factor::FactorGroup& group = source.group(p.group);
+    auto& weights = p.source == &approx ? approx_weights : original_weights;
+    auto [wit, fresh] = weights.emplace(group.weight, 0);
+    if (fresh) {
+      wit->second = builder.AddWeight(source.WeightValue(group.weight),
+                                      source.WeightLearnable(group.weight));
+    }
+    const GroupId ng =
+        builder.AddGroup(group.rule_id, local_of.at(group.head), wit->second,
+                         group.semantics);
+    for (factor::ClauseId cid : p.clauses) {
+      literals.clear();
+      for (const Literal& lit : source.clause(cid).literals) {
+        literals.push_back(Literal{local_of.at(lit.var), lit.negated});
+      }
+      builder.AddClause(ng, literals);
+    }
+  }
+  sub.graph = builder.Build();
+  return sub;
+}
+
+std::vector<double> SampleVariationalSubgraph(const VariationalSubgraph& sub,
+                                              const std::vector<double>& warm,
+                                              const inference::GibbsOptions& options,
+                                              uint64_t seed) {
+  const factor::CompiledGraph& graph = sub.graph;
+  BitVector start(graph.NumVariables());
+  for (VarId l = 0; l < graph.NumVariables(); ++l) {
+    const auto ev = graph.EvidenceValue(l);
+    const VarId v = sub.global_ids[l];
+    start.Set(l, ev.has_value() ? *ev : (v < warm.size() && warm[v] > 0.5));
+  }
+  std::vector<double> sums(sub.sweep.size(), 0.0);
+  const size_t sample_sweeps = std::max<size_t>(1, options.sample_sweeps);
+  const size_t num_threads =
+      options.num_threads == 0 ? ThreadPool::DefaultThreads() : options.num_threads;
+  if (num_threads > 1) {
+    // Hogwild over the affected variables: the decomposition shards across
+    // workers.
+    inference::CompiledParallelGibbsSampler sampler(&graph, num_threads);
+    inference::CompiledAtomicWorld world(&graph);
+    world.LoadBitsPrefix(start, /*fill=*/false);
+    std::vector<Rng> rngs = sampler.MakeRngStreams(seed);
+    for (size_t i = 0; i < options.burn_in_sweeps; ++i) {
+      sampler.SweepVars(&world, &rngs, sub.sweep);
+    }
+    for (size_t i = 0; i < sample_sweeps; ++i) {
+      sampler.SweepVars(&world, &rngs, sub.sweep);
+      for (size_t k = 0; k < sub.sweep.size(); ++k) {
+        sums[k] += world.value(sub.sweep[k]) ? 1.0 : 0.0;
+      }
+    }
+  } else {
+    inference::CompiledGibbsSampler sampler(&graph);
+    inference::CompiledWorld world(&graph);
+    world.LoadBits(start);
+    Rng rng(seed);
+    for (size_t i = 0; i < options.burn_in_sweeps; ++i) {
+      sampler.SweepVars(&world, &rng, sub.sweep);
+    }
+    for (size_t i = 0; i < sample_sweeps; ++i) {
+      sampler.SweepVars(&world, &rng, sub.sweep);
+      for (size_t k = 0; k < sub.sweep.size(); ++k) {
+        sums[k] += world.value(sub.sweep[k]) ? 1.0 : 0.0;
+      }
+    }
+  }
+  for (double& s : sums) s /= static_cast<double>(sample_sweeps);
+  return sums;
 }
 
 StatusOr<double> SearchLambda(const FactorGraph& graph,

@@ -6,8 +6,10 @@
 #include <memory>
 #include <vector>
 
+#include "factor/compiled_graph.h"
 #include "factor/factor_graph.h"
 #include "factor/graph_delta.h"
+#include "inference/gibbs.h"
 #include "util/status.h"
 
 namespace deepdive::incremental {
@@ -76,15 +78,49 @@ class VariationalMaterialization {
   size_t num_nz_pairs_ = 0;
 };
 
-/// Builds an inference graph for the variational path: clones `approx`, then
-/// copies the delta's new groups / added clauses / evidence / weight values
-/// from `original` (weights are duplicated into the clone; variable ids are
-/// shared). Removed original factors are already absorbed into the
-/// approximation and cannot be subtracted — the inherent approximation of
-/// this approach.
-factor::FactorGraph BuildVariationalInferenceGraph(const factor::FactorGraph& original,
-                                                   const factor::FactorGraph& approx,
-                                                   const factor::GraphDelta& delta);
+/// The variational path's inference graph, restricted to one update's
+/// affected variables and compiled to the flat kernel.
+struct VariationalSubgraph {
+  /// Local variable ids; groups and weights are local too.
+  factor::CompiledGraph graph;
+  /// Global (original-graph) id of each local variable. The affected
+  /// variables come first, in the order they were given; the boundary
+  /// variables they share groups with follow.
+  std::vector<factor::VarId> global_ids;
+  /// Local ids of the affected variables that are not evidence, in the
+  /// order they were given: the sweep order.
+  std::vector<factor::VarId> sweep;
+};
+
+/// Extracts, from the approximation and the cumulative delta, exactly the
+/// groups that touch an `affected` variable, remaps their variables to local
+/// ids and compiles the result. The groups are the ones the whole-graph
+/// inference graph of this approach holds — the approximation's active
+/// groups, then the delta's new groups and the added clauses of its
+/// modified groups (as fresh groups of the same head and weight), with the
+/// delta's evidence applied — and they are added in the same relative order
+/// (approximation groups by ascending id, then delta groups in delta order).
+/// So every affected variable sees its head groups and body refs in the
+/// same order as in the whole graph, and a sweep over `sweep` consumes the
+/// RNG identically: marginals are bit-identical at one thread, for work
+/// proportional to the affected variables' neighbourhood instead of the
+/// whole approximation. Removed original factors are already absorbed into
+/// the approximation and cannot be subtracted — the inherent approximation
+/// of this approach.
+VariationalSubgraph BuildVariationalSubgraph(const factor::FactorGraph& original,
+                                             const factor::FactorGraph& approx,
+                                             const factor::GraphDelta& delta,
+                                             const std::vector<factor::VarId>& affected);
+
+/// Warm-started Gibbs over `sub.sweep`: every local variable starts at its
+/// evidence value or at `warm[global] > 0.5` (0 past the end of `warm`);
+/// `burn_in_sweeps` sweeps, then `max(1, sample_sweeps)` counted ones.
+/// `num_threads` > 1 runs Hogwild sweeps; 1 is sequential and
+/// deterministic for a given `seed`. Returns P(v = 1) per `sub.sweep` entry.
+std::vector<double> SampleVariationalSubgraph(const VariationalSubgraph& sub,
+                                              const std::vector<double>& warm,
+                                              const inference::GibbsOptions& options,
+                                              uint64_t seed);
 
 /// The λ search protocol of Section 3.2.3: starting from λ = lambda_min,
 /// multiply by 10 until the symmetric KL divergence between original and

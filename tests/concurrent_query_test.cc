@@ -7,6 +7,7 @@
 // ThreadSanitizer CI job.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -79,9 +80,8 @@ TEST(ResultViewTest, MarginalLookupMatchesIndex) {
   deepdive::serving_thread.AssertHeld();
   ResultView view;
   view.marginals = {0.9, 0.1, 0.7};
-  view.relations["R"] = {{{Value(1), Value(2)}, 0.9},
-                         {{Value(2), Value(1)}, 0.1},
-                         {{Value(3), Value(3)}, 0.7}};
+  view.relations["R"] = incremental::RelationIndex().Extend(
+      {{{Value(1), Value(2)}, 0}, {{Value(2), Value(1)}, 1}, {{Value(3), Value(3)}, 2}});
   EXPECT_DOUBLE_EQ(view.MarginalOf("R", {Value(1), Value(2)}), 0.9);
   EXPECT_DOUBLE_EQ(view.MarginalOf("R", {Value(3), Value(3)}), 0.7);
   // Unknown tuple / relation: the 0.5 "unknown variable" convention.
@@ -90,6 +90,39 @@ TEST(ResultViewTest, MarginalLookupMatchesIndex) {
   ASSERT_NE(view.Relation("R"), nullptr);
   EXPECT_EQ(view.Relation("R")->size(), 3u);
   EXPECT_EQ(view.Relation("S"), nullptr);
+}
+
+TEST(ResultViewTest, RelationIndexGrowsWithoutChangingEarlierCopies) {
+  // Extend one relation's index in many small steps (tail runs) and a few
+  // large ones (merges into the base); every earlier copy keeps answering
+  // exactly the tuples it covered.
+  Rng rng(5);
+  std::vector<incremental::RelationIndex> history(1);
+  std::vector<std::pair<Tuple, VarId>> all;
+  VarId next = 0;
+  for (int step = 0; step < 60; ++step) {
+    const size_t batch = step % 15 == 0 ? 200 : 1 + rng.UniformInt(4);
+    std::vector<std::pair<Tuple, VarId>> added;
+    for (size_t i = 0; i < batch; ++i, ++next) {
+      // Strings too: a tuple's text and number columns both key the index.
+      Tuple t{Value(static_cast<int64_t>(rng.UniformInt(1000000))),
+              Value("s" + std::to_string(next))};
+      added.emplace_back(t, next);
+      all.emplace_back(t, next);
+    }
+    history.push_back(history.back().Extend(added));
+  }
+  for (size_t h = 0; h < history.size(); ++h) {
+    const incremental::RelationIndex& index = history[h];
+    const size_t covered = index.size();
+    for (const auto& [tuple, var] : all) {
+      EXPECT_EQ(index.Find(tuple), var < covered ? var : factor::kNoVar);
+    }
+    std::vector<std::pair<Tuple, VarId>> expected(all.begin(),
+                                                  all.begin() + static_cast<ptrdiff_t>(covered));
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(index.SortedEntries(), expected) << "copy " << h;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -196,6 +229,62 @@ TEST(DeepDiveQueryTest, PinnedViewSurvivesUpdateUnchanged) {
   EXPECT_EQ(after->epoch, 2u);
   EXPECT_EQ(after->report.label, "U1");
   EXPECT_NE(after->MarginalOf("HasSpouse", {Value(90), Value(91)}), 0.5);
+}
+
+/// The (tuple, marginal) pairs of `relation` straight from the grounding's
+/// variable table and `marginals`, sorted by tuple: what Relation() must
+/// enumerate.
+std::vector<std::pair<Tuple, double>> SortedFromGround(
+    const DeepDive& dd, const std::string& relation,
+    const std::vector<double>& marginals) REQUIRES(serving_thread) {
+  std::vector<std::pair<Tuple, double>> out;
+  for (VarId v = 0; v < dd.ground().var_tuples.size(); ++v) {
+    const auto& [rel, tuple] = dd.ground().var_tuples[v];
+    if (rel == relation) out.emplace_back(tuple, v < marginals.size() ? marginals[v] : 0.5);
+  }
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return out;
+}
+
+TEST(DeepDiveQueryTest, SharedIndexGrowsUnderPinnedViews) {
+  deepdive::serving_thread.AssertHeld();
+  auto dd = MakeDeepDive(core::FastTestConfig(), /*sentences=*/40);
+  ASSERT_TRUE(dd->Initialize().ok());
+  // Enough single-sentence inserts that the index goes through tail runs
+  // and at least one merge into its base; a delete in between leaves its
+  // variables in place.
+  std::vector<std::shared_ptr<const ResultView>> pinned{dd->Query()};
+  std::vector<std::vector<std::pair<Tuple, double>>> expected{
+      SortedFromGround(*dd, "HasSpouse", dd->Query()->marginals)};
+  for (int64_t s = 100; s < 130; ++s) {
+    UpdateSpec update;
+    update.label = "I" + std::to_string(s);
+    update.skip_learning = true;
+    if (s % 10 == 5) {
+      update.deletes["Person"] = {{Value(s - 1), Value((s - 1) * 10)}};
+    } else {
+      update.inserts["Person"] = {{Value(s), Value(s * 10)}, {Value(s), Value(s * 10 + 1)}};
+      update.inserts["Phrase"] = {{Value(s * 10), Value(s * 10 + 1), Value("met with")}};
+    }
+    ASSERT_TRUE(dd->ApplyUpdate(update).ok());
+    pinned.push_back(dd->Query());
+    expected.push_back(SortedFromGround(*dd, "HasSpouse", dd->Query()->marginals));
+  }
+  EXPECT_GT(expected.back().size(), expected.front().size());
+  for (size_t i = 0; i < pinned.size(); ++i) {
+    // Enumeration equals the sorted ground truth of that epoch — read after
+    // every later epoch has extended the shared index.
+    const auto* entries = pinned[i]->Relation("HasSpouse");
+    ASSERT_NE(entries, nullptr);
+    EXPECT_EQ(*entries, expected[i]) << "epoch " << pinned[i]->epoch;
+    for (const auto& [tuple, marginal] : expected.back()) {
+      const auto it = std::find_if(expected[i].begin(), expected[i].end(),
+                                   [&](const auto& e) { return e.first == tuple; });
+      EXPECT_EQ(pinned[i]->MarginalOf("HasSpouse", tuple),
+                it == expected[i].end() ? 0.5 : it->second);
+    }
+  }
 }
 
 TEST(DeepDiveQueryTest, HistoryEpochsAreStrictlyIncreasing) {

@@ -181,5 +181,100 @@ TEST(DecompositionTest, GroupsPartitionInactiveVariables) {
   EXPECT_EQ(total, 7u);
 }
 
+// Property: the union-find components, folded forward delta by delta
+// (rebuilt only after a delta that removes), always equal a from-scratch
+// ConnectedComponents of the live graph — same partition, same component
+// order, same member order.
+class IncrementalComponentsProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(IncrementalComponentsProperty, MatchesConnectedComponentsAfterEveryDelta) {
+  Rng rng(GetParam());
+  FactorGraph g;
+  g.AddVariables(20);
+  const WeightId w = g.AddWeight(0.5, false);
+  IncrementalComponents comps;
+  comps.Rebuild(g);
+  size_t rebuilds_avoided = 0;
+  for (int step = 0; step < 150; ++step) {
+    factor::GraphDelta delta;
+    auto pick = [&] { return static_cast<VarId>(rng.UniformInt(g.NumVariables())); };
+    const uint64_t op = rng.UniformInt(10);
+    if (op < 2) {
+      const VarId first = g.AddVariables(1 + rng.UniformInt(3));
+      for (VarId v = first; v < g.NumVariables(); ++v) delta.new_variables.push_back(v);
+    } else if (op < 6) {
+      // A new group, with one or two clauses of one or two literals.
+      const VarId head = pick();
+      const factor::GroupId grp = g.AddGroup(0, head, w, factor::Semantics::kLinear);
+      for (uint64_t c = 0, n = 1 + rng.UniformInt(2); c < n; ++c) {
+        std::vector<factor::Literal> lits;
+        for (uint64_t l = 0, k = 1 + rng.UniformInt(2); l < k; ++l) {
+          const VarId v = pick();
+          if (v != head) lits.push_back({v, rng.Bernoulli(0.5)});
+        }
+        g.AddClause(grp, lits);
+      }
+      delta.new_groups.push_back(grp);
+    } else if (op < 8 && g.NumGroups() > 0) {
+      // A clause added to an existing group.
+      const auto grp = static_cast<factor::GroupId>(rng.UniformInt(g.NumGroups()));
+      const VarId v = pick();
+      if (v == g.group(grp).head) continue;
+      delta.modified_groups.push_back({grp, {g.AddClause(grp, {{v, false}})}, {}});
+    } else if (op < 9 && g.NumClauses() > 0) {
+      const auto c = static_cast<factor::ClauseId>(rng.UniformInt(g.NumClauses()));
+      g.DeactivateClause(c);
+      delta.modified_groups.push_back({g.clause(c).group, {}, {c}});
+    } else if (g.NumGroups() > 0) {
+      const auto grp = static_cast<factor::GroupId>(rng.UniformInt(g.NumGroups()));
+      g.DeactivateGroup(grp);
+      delta.removed_groups.push_back(grp);
+    }
+    comps.Apply(g, delta);
+    if (comps.valid()) ++rebuilds_avoided;
+    comps.Sync(g);
+    std::vector<VarId> everything(g.NumVariables());
+    for (VarId v = 0; v < everything.size(); ++v) everything[v] = v;
+    std::vector<std::vector<VarId>> all;
+    for (const std::vector<VarId>* members : comps.ComponentsOf(everything)) {
+      all.push_back(*members);
+    }
+    ASSERT_EQ(all, ConnectedComponents(g)) << "step " << step;
+    // A subset query returns the touched components in the same order.
+    std::vector<VarId> probe = {pick(), pick(), pick()};
+    const auto touched = comps.ComponentsOf(probe);
+    for (size_t i = 1; i < touched.size(); ++i) {
+      EXPECT_LT(touched[i - 1]->front(), touched[i]->front());
+    }
+    for (VarId v : probe) {
+      EXPECT_EQ(std::count_if(touched.begin(), touched.end(),
+                              [&](const std::vector<VarId>* members) {
+                                return std::binary_search(members->begin(),
+                                                          members->end(), v);
+                              }),
+                1);
+    }
+  }
+  // Most deltas only add: those were folded in without a rebuild.
+  EXPECT_GT(rebuilds_avoided, 75u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalComponentsProperty,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+TEST(ConnectedComponentsTest, RetractedClauseNoLongerConnects) {
+  // Group headed by 0 with clauses {1} and {2}; retracting {2} leaves 2
+  // disconnected, whichever side a traversal starts from.
+  FactorGraph g;
+  g.AddVariables(3);
+  const WeightId w = g.AddWeight(1.0, false);
+  const factor::GroupId grp = g.AddGroup(0, 2, w, factor::Semantics::kLinear);
+  g.AddClause(grp, {{1, false}});
+  const factor::ClauseId gone = g.AddClause(grp, {{0, false}});
+  g.DeactivateClause(gone);
+  EXPECT_EQ(ConnectedComponents(g),
+            (std::vector<std::vector<VarId>>{{0}, {1, 2}}));
+}
+
 }  // namespace
 }  // namespace deepdive::incremental

@@ -61,6 +61,49 @@ TEST(DeepDiveTest, AnalysisUpdateUsesSamplingWithFullAcceptance) {
   EXPECT_DOUBLE_EQ(report->acceptance_rate, 1.0);
 }
 
+TEST(DeepDiveTest, VariationalWriteCostFollowsTheDeltaNotTheKb) {
+  // The O(|Δ|) witness: the same one-sentence insert, then the same
+  // one-sentence delete, on a 1k- and a 10k-sentence KB affect the same
+  // variables and sweep a compiled subgraph of the same size.
+  deepdive::serving_thread.AssertHeld();
+  std::vector<std::vector<size_t>> per_size;
+  for (const int64_t sentences : {1000, 10000}) {
+    DeepDiveConfig config = FastTestConfig();
+    config.gibbs.sample_sweeps = 50;
+    config.materialization.num_samples = 100;
+    config.engine.forced_strategy = incremental::Strategy::kVariational;
+    auto dd = DeepDive::Create(kProgram, config);
+    ASSERT_TRUE(dd.ok());
+    std::vector<Tuple> persons;
+    for (int64_t s = 0; s < sentences; ++s) {
+      persons.push_back({Value(s), Value(2 * s)});
+      persons.push_back({Value(s), Value(2 * s + 1)});
+    }
+    ASSERT_TRUE((*dd)->LoadRows("Person", persons).ok());
+    ASSERT_TRUE((*dd)->Initialize().ok());
+    UpdateSpec insert;
+    insert.label = "insert";
+    insert.skip_learning = true;
+    insert.inserts["Person"] = {{Value(-1), Value(-2)}, {Value(-1), Value(-3)}};
+    UpdateSpec remove;
+    remove.label = "delete";
+    remove.skip_learning = true;
+    remove.deletes["Person"] = {{Value(3), Value(6)}, {Value(3), Value(7)}};
+    std::vector<size_t> sizes;
+    for (const UpdateSpec* spec : {&insert, &remove}) {
+      auto report = (*dd)->ApplyUpdate(*spec);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_EQ(report->strategy, incremental::Strategy::kVariational);
+      EXPECT_GT(report->inference_graph_groups, 0u) << spec->label;
+      EXPECT_LT(report->inference_graph_vars, 10u) << spec->label;
+      sizes.insert(sizes.end(), {report->affected_vars, report->inference_graph_vars,
+                                 report->inference_graph_groups});
+    }
+    per_size.push_back(sizes);
+  }
+  EXPECT_EQ(per_size[0], per_size[1]);
+}
+
 TEST(DeepDiveTest, DataUpdateCreatesVariables) {
   deepdive::serving_thread.AssertHeld();
   auto dd = Make(ExecutionMode::kIncremental);

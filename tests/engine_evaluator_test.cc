@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "dsl/program.h"
 #include "engine/rule_evaluator.h"
@@ -234,6 +236,70 @@ TEST_P(DeltaEvaluationProperty, MatchesRecomputation) {
     it = it->second == 0 ? delta_counts.erase(it) : std::next(it);
   }
   EXPECT_EQ(delta_counts, expected);
+}
+
+// Property: the sequential evaluation of each telescoping term (which
+// semi-joins an unbound first atom against the DELTA atom instead of
+// scanning it) emits exactly the derivations of the scanning range path, in
+// the same order — the order the grounder's thread-count parity rests on.
+TEST_P(DeltaEvaluationProperty, SequentialTermOrderMatchesRangeScan) {
+  Fixture f(R"(
+    relation P(s: int, m: int).
+    relation Q(m: int).
+    relation H(a: int, b: int).
+    rule H(a, b) :- P(s, a), P(s, b), Q(b), a != b.
+  )");
+  Rng rng(GetParam());
+  Table* p = f.table("P");
+  Table* q = f.table("Q");
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE(p->Insert({Value(static_cast<int64_t>(rng.UniformInt(10))),
+                           Value(static_cast<int64_t>(rng.UniformInt(12)))})
+                    .ok());
+  }
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(q->Insert({Value(static_cast<int64_t>(rng.UniformInt(12)))}).ok());
+  }
+  DeltaTable dp("P"), dq("Q");
+  for (int i = 0; i < 8; ++i) {
+    Tuple t = {Value(static_cast<int64_t>(rng.UniformInt(10))),
+               Value(static_cast<int64_t>(rng.UniformInt(12)))};
+    if (!p->Contains(t)) {
+      ASSERT_TRUE(p->Insert(t).ok());
+      dp.Add(t, +1);
+    } else if (rng.Bernoulli(0.5)) {
+      p->Erase(t);
+      dp.Add(t, -1);
+    }
+  }
+  Tuple tq = {Value(static_cast<int64_t>(rng.UniformInt(12)))};
+  if (q->Contains(tq)) {
+    q->Erase(tq);
+    dq.Add(tq, -1);
+  } else {
+    ASSERT_TRUE(q->Insert(tq).ok());
+    dq.Add(tq, +1);
+  }
+
+  auto body = f.Compile();
+  std::map<std::string, const DeltaTable*> deltas = {{"P", &dp}, {"Q", &dq}};
+  auto plan = body.PlanDeltaEvaluation(deltas);
+  ASSERT_TRUE(plan.ok());
+  body.PrewarmIndexes();
+  body.MaterializeDriverDelta(&*plan);
+  ASSERT_EQ(plan->num_terms(), 3u);
+  for (size_t m = 0; m < plan->num_terms(); ++m) {
+    std::vector<std::string> sequential, ranged;
+    auto record = [](std::vector<std::string>* out) {
+      return [out](const std::vector<Value>& values, int64_t sign) {
+        out->push_back(TupleToString(values) + (sign > 0 ? "+" : "-"));
+      };
+    };
+    body.EvaluateDeltaTerm(*plan, m, record(&sequential));
+    body.EvaluateDeltaTermRange(*plan, m, 0, body.DeltaTermDomain(*plan, m),
+                                record(&ranged));
+    EXPECT_EQ(sequential, ranged) << "term " << m;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, DeltaEvaluationProperty,

@@ -8,6 +8,7 @@
 #include "factor/graph_delta.h"
 #include "factor/graph_io.h"
 #include "factor/semantics.h"
+#include "util/random.h"
 
 namespace deepdive::factor {
 namespace {
@@ -119,6 +120,48 @@ TEST(FactorGraphTest, ClauseDeactivation) {
   g.DeactivateClause(c2);
   EXPECT_EQ(g.SatisfiedClauses(grp, value_of), 1);
   EXPECT_EQ(g.NumActiveClauses(), 1u);
+}
+
+/// The active-clause count the hard way: every active clause of an active
+/// group.
+size_t RecountActiveClauses(const FactorGraph& g) {
+  size_t n = 0;
+  for (GroupId grp = 0; grp < g.NumGroups(); ++grp) {
+    if (!g.group(grp).active) continue;
+    for (ClauseId c : g.group(grp).clauses) n += g.clause(c).active ? 1 : 0;
+  }
+  return n;
+}
+
+TEST(FactorGraphTest, ActiveClauseCounterMatchesRecount) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    FactorGraph g;
+    g.AddVariables(12);
+    const WeightId w = g.AddWeight(0.5, false);
+    for (int step = 0; step < 400; ++step) {
+      const uint64_t op = rng.UniformInt(10);
+      if (op < 3 || g.NumGroups() == 0) {
+        g.AddGroup(0, static_cast<VarId>(rng.UniformInt(6)), w, Semantics::kLinear);
+      } else if (op < 7) {
+        // Clauses land in active and deactivated groups alike.
+        const auto grp = static_cast<GroupId>(rng.UniformInt(g.NumGroups()));
+        g.AddClause(grp, {{static_cast<VarId>(6 + rng.UniformInt(6)), false}});
+      } else if (op < 9 && g.NumClauses() > 0) {
+        // Repeats on already-retracted clauses must not count twice.
+        g.DeactivateClause(static_cast<ClauseId>(rng.UniformInt(g.NumClauses())));
+      } else {
+        g.DeactivateGroup(static_cast<GroupId>(rng.UniformInt(g.NumGroups())));
+      }
+      ASSERT_EQ(g.NumActiveClauses(), RecountActiveClauses(g))
+          << "seed " << seed << " step " << step;
+    }
+    FactorGraph copy = g;
+    EXPECT_EQ(copy.NumActiveClauses(), RecountActiveClauses(copy));
+    copy.AddClause(0, {{11, true}});
+    EXPECT_EQ(copy.NumActiveClauses(), RecountActiveClauses(copy));
+    EXPECT_EQ(g.NumActiveClauses(), RecountActiveClauses(g));
+  }
 }
 
 TEST(FactorGraphTest, FindActiveClause) {

@@ -469,7 +469,7 @@ class QueryServer {
       const auto first = view->relations.begin();
       if (first != view->relations.end() && !first->second.empty() &&
           view->MarginalOf(first->first, first->second.front().first) !=
-              first->second.front().second) {
+              view->marginals.at(first->second.front().second)) {
         Fail("relation index disagrees with MarginalOf");
         break;
       }
